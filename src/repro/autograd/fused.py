@@ -46,7 +46,7 @@ from typing import Optional
 import numpy as np
 
 from .backend import BackendLike, resolve_backend
-from .tensor import Tensor, _make, ensure_tensor, is_grad_enabled
+from .tensor import Tensor, _make, _needs_grad, ensure_tensor, is_grad_enabled
 
 __all__ = [
     "finite_checks_enabled",
@@ -84,7 +84,7 @@ def _recording(*tensors: Optional[Tensor]) -> bool:
     — the condition under which a forward-only backend must demote to
     its grad-capable fallback."""
     return is_grad_enabled() and any(
-        t is not None and (t.requires_grad or t._parents) for t in tensors
+        t is not None and _needs_grad(t) for t in tensors
     )
 
 
@@ -232,9 +232,7 @@ def phase_column_cascade(
     # The gated block outputs are only retained when the gates can
     # actually receive gradients — a constant exec mask (population
     # padding) would otherwise pin B extra (N, K, K) arrays per build.
-    need_e = exec_prob is not None and (
-        exec_prob.requires_grad or bool(exec_prob._parents)
-    )
+    need_e = exec_prob is not None and _needs_grad(exec_prob)
     prevs = []  # u_b entering block b; None encodes the identity
     blocks = []  # C_b @ diag(ps_b) @ u_b (needed for exec_prob grads)
     u: Optional[np.ndarray] = None
@@ -257,7 +255,7 @@ def phase_column_cascade(
     out = u
 
     def backward(g: np.ndarray):
-        need_c = consts.requires_grad or consts._parents
+        need_c = _needs_grad(consts)
         g_ps = np.zeros((n, n_blocks, k), dtype=complex)
         g_c = np.zeros(cd.shape, dtype=complex) if need_c else None
         g_e = np.zeros(ed.shape, dtype=complex) if need_e else None

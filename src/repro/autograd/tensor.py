@@ -24,6 +24,15 @@ rules, each verified against finite differences in the test suite.
 Gradients flowing into a *real* leaf from a complex subgraph are
 projected onto the real axis (again matching PyTorch), which is what
 makes ``exp(-1j * phi)`` with real ``phi`` trainable.
+
+Graph lifetime
+--------------
+``backward()`` frees the graph it runs through, as PyTorch does without
+``retain_graph``: each interior node drops its parents and its backward
+closure (and with them the saved activations) once its gradient has
+been propagated.  Running ``backward()`` through a freed node again
+raises ``RuntimeError``; rebuild the graph with a new forward pass
+instead.
 """
 
 from __future__ import annotations
@@ -144,7 +153,7 @@ class Tensor:
 
     @property
     def is_leaf(self) -> bool:
-        return not self._parents
+        return self._backward is None
 
     def __len__(self) -> int:
         return len(self.data)
@@ -182,6 +191,9 @@ class Tensor:
     def backward(self, grad: Optional[Union[np.ndarray, "Tensor"]] = None) -> None:
         """Run reverse-mode differentiation from this tensor.
 
+        Frees the graph as it goes (see "Graph lifetime" in the module
+        docstring): a second call through it raises ``RuntimeError``.
+
         Parameters
         ----------
         grad:
@@ -197,21 +209,28 @@ class Tensor:
             grad = grad.data
         grad = np.asarray(grad)
 
+        # Iterative post-order DFS, so graphs deeper than the interpreter's
+        # recursion limit work.  The visiting order fixes the order in
+        # which gradients are summed, and with it the rounding.
         topo: List[Tensor] = []
-        visited = set()
-
-        def build(t: Tensor) -> None:
-            if id(t) in visited:
-                return
-            visited.add(id(t))
-            for p in t._parents:
-                build(p)
-            topo.append(t)
-
-        build(self)
+        visited = {id(self)}
+        stack = [(self, iter(self._parents))]
+        while stack:
+            t, parents = stack[-1]
+            for p in parents:
+                if id(p) not in visited:
+                    visited.add(id(p))
+                    stack.append((p, iter(p._parents)))
+                    break
+            else:
+                stack.pop()
+                topo.append(t)
 
         grads: dict = {id(self): grad}
-        for t in reversed(topo):
+        while topo:
+            # Popping (rather than iterating) lets a freed node's data go
+            # as soon as its last consumer has run.
+            t = topo.pop()
             g = grads.pop(id(t), None)
             if g is None:
                 continue
@@ -224,7 +243,9 @@ class Tensor:
             if t._backward is None:
                 continue
             parent_grads = t._backward(g)
-            for p, pg in zip(t._parents, parent_grads):
+            parents = t._parents
+            t._parents, t._backward = (), _freed_backward
+            for p, pg in zip(parents, parent_grads):
                 if pg is None:
                     continue
                 pg = _match_dtype(pg, p.data)
@@ -368,13 +389,26 @@ class Tensor:
 # Core op plumbing
 # ----------------------------------------------------------------------
 
+def _freed_backward(g: np.ndarray):
+    raise RuntimeError(
+        "Trying to backward through the graph a second time: backward() "
+        "frees each node it passes; recompute the forward pass to get a "
+        "new graph"
+    )
+
+
+def _needs_grad(t: Tensor) -> bool:
+    """True for a trainable leaf or an interior graph node (freed or not)."""
+    return t.requires_grad or t._backward is not None
+
+
 def _make(
     data: np.ndarray,
     parents: Tuple[Tensor, ...],
     backward: Callable[[np.ndarray], Tuple[Optional[np.ndarray], ...]],
 ) -> Tensor:
     """Create a graph node if grad mode is on and any parent needs grad."""
-    if _GRAD_ENABLED and any(p.requires_grad or p._parents for p in parents):
+    if _GRAD_ENABLED and any(_needs_grad(p) for p in parents):
         return Tensor(data, requires_grad=False, _parents=parents, _backward=backward)
     return Tensor(data)
 
@@ -413,8 +447,8 @@ def mul(a: Arrayable, b: Arrayable) -> Tensor:
     out = a.data * b.data
 
     def backward(g: np.ndarray):
-        ga = _unbroadcast(g * np.conj(b.data), a.shape)
-        gb = _unbroadcast(g * np.conj(a.data), b.shape)
+        ga = _unbroadcast(g * b.data.conj(), a.shape) if _needs_grad(a) else None
+        gb = _unbroadcast(g * a.data.conj(), b.shape) if _needs_grad(b) else None
         return ga, gb
 
     return _make(out, (a, b), backward)
@@ -758,34 +792,44 @@ def matmul(a: Arrayable, b: Arrayable) -> Tensor:
     """Batched matrix multiplication with broadcasting.
 
     Complex gradient rules (PyTorch convention):
-    ``grad_a = g @ conj(b).T``, ``grad_b = conj(a).T @ g``.
+    ``grad_a = g @ conj(b).T``, ``grad_b = conj(a).T @ g``.  No gradient
+    is computed toward a constant operand.
     """
     a, b = ensure_tensor(a), ensure_tensor(b)
     out = a.data @ b.data
 
     def backward(g: np.ndarray):
+        # ndarray.conj() returns real arrays as they are (np.conj copies).
         ad, bd = a.data, b.data
+        ga = gb = None
+        need_a, need_b = _needs_grad(a), _needs_grad(b)
         if ad.ndim == 1 and bd.ndim == 1:
             # inner product
-            ga = g * np.conj(bd)
-            gb = g * np.conj(ad)
+            if need_a:
+                ga = g * bd.conj()
+            if need_b:
+                gb = g * ad.conj()
         elif ad.ndim == 1:
             # (k,) @ (..., k, n) -> (..., n)
-            ga = (np.expand_dims(g, -2) @ np.conj(np.swapaxes(bd, -1, -2))).squeeze(-2)
-            ga = _unbroadcast(ga, a.shape)
-            gb = np.conj(ad)[..., :, None] * np.expand_dims(g, -2)
-            gb = _unbroadcast(gb, b.shape)
+            if need_a:
+                ga = (np.expand_dims(g, -2) @ np.swapaxes(bd, -1, -2).conj()).squeeze(-2)
+                ga = _unbroadcast(ga, a.shape)
+            if need_b:
+                gb = ad.conj()[..., :, None] * np.expand_dims(g, -2)
+                gb = _unbroadcast(gb, b.shape)
         elif bd.ndim == 1:
             # (..., m, k) @ (k,) -> (..., m)
-            ga = np.expand_dims(g, -1) * np.conj(bd)
-            ga = _unbroadcast(ga, a.shape)
-            gb = np.conj(np.swapaxes(ad, -1, -2)) @ np.expand_dims(g, -1)
-            gb = _unbroadcast(gb.squeeze(-1), b.shape)
+            if need_a:
+                ga = np.expand_dims(g, -1) * bd.conj()
+                ga = _unbroadcast(ga, a.shape)
+            if need_b:
+                gb = np.swapaxes(ad, -1, -2).conj() @ np.expand_dims(g, -1)
+                gb = _unbroadcast(gb.squeeze(-1), b.shape)
         else:
-            ga = g @ np.conj(np.swapaxes(bd, -1, -2))
-            gb = np.conj(np.swapaxes(ad, -1, -2)) @ g
-            ga = _unbroadcast(ga, a.shape)
-            gb = _unbroadcast(gb, b.shape)
+            if need_a:
+                ga = _unbroadcast(g @ np.swapaxes(bd, -1, -2).conj(), a.shape)
+            if need_b:
+                gb = _unbroadcast(np.swapaxes(ad, -1, -2).conj() @ g, b.shape)
         return ga, gb
 
     return _make(out, (a, b), backward)

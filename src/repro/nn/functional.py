@@ -1,10 +1,21 @@
 """Functional NN operations built on the autograd engine.
 
 The convolution path uses an im2col transform implemented as a custom
-autograd op (forward: ``sliding_window_view``; backward: col2im
-scatter-add), after which convolution reduces to a matrix product —
-the same lowering the paper's ONN layers use to map convolutions onto
+autograd op, after which convolution reduces to a matrix product — the
+same lowering the paper's ONN layers use to map convolutions onto
 photonic tensor cores.
+
+Patches are laid out channel-major: :func:`_im2col_array` writes one
+contiguous ``(C*kh*kw, N*OH*OW)`` buffer (a single copy out of a
+``sliding_window_view``) and hands back its ``(N, OH, OW, C, kh, kw)``
+view.  :func:`conv2d` multiplies ``weight (O, C*kh*kw) @ patches`` on that
+buffer directly, so the forward GEMM, the weight gradient and the
+patch gradient all read or write it contiguously, and the ``(N, O, OH,
+OW)`` output is a view of the ``(O, N, OH, OW)`` product.  The input
+gradient (:func:`_col2im_array`) accumulates ``kh*kw`` contiguous patch
+rows into a ``(C, N, H, W)`` buffer.  After ``backward()`` the graph is
+freed (see :meth:`repro.autograd.Tensor.backward`), which releases the
+patch buffer.
 """
 
 from __future__ import annotations
@@ -24,11 +35,16 @@ def _pair(v) -> Tuple[int, int]:
 
 
 def _im2col_array(x: np.ndarray, kh: int, kw: int, sh: int, sw: int) -> np.ndarray:
-    """(N, C, H, W) -> (N, OH, OW, C, kh, kw) patch view (copied)."""
+    """(N, C, H, W) -> (N, OH, OW, C, kh, kw) view of a channel-major buffer.
+
+    The buffer is one contiguous ``(C, kh, kw, N, OH, OW)`` array, i.e.
+    the ``(C*kh*kw, N*OH*OW)`` patch matrix of :func:`conv2d`.
+    """
     windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
     # windows: (N, C, H-kh+1, W-kw+1, kh, kw)
     windows = windows[:, :, ::sh, ::sw, :, :]
-    return np.ascontiguousarray(windows.transpose(0, 2, 3, 1, 4, 5))
+    buf = np.ascontiguousarray(windows.transpose(1, 4, 5, 0, 2, 3))
+    return buf.transpose(3, 4, 5, 0, 1, 2)
 
 
 def _col2im_array(
@@ -39,18 +55,22 @@ def _col2im_array(
     sh: int,
     sw: int,
 ) -> np.ndarray:
-    """Adjoint of :func:`_im2col_array` (scatter-add patches back)."""
+    """Adjoint of :func:`_im2col_array` (scatter-add patches back).
+
+    ``gcol`` is (N, OH, OW, C, kh, kw); when it is the view of a
+    channel-major buffer each of the ``kh*kw`` adds reads contiguous
+    rows.  Returns the (N, C, H, W) view of a (C, N, H, W) buffer.
+    """
     n, c, h, w = x_shape
-    gx = np.zeros(x_shape, dtype=gcol.dtype)
-    # gcol: (N, OH, OW, C, kh, kw)
+    gx = np.zeros((c, n, h, w), dtype=gcol.dtype)
     oh, ow = gcol.shape[1], gcol.shape[2]
-    g = gcol.transpose(0, 3, 4, 5, 1, 2)  # (N, C, kh, kw, OH, OW)
+    g = gcol.transpose(3, 4, 5, 0, 1, 2)  # (C, kh, kw, N, OH, OW)
     for i in range(kh):
         h_end = i + sh * oh
         for j in range(kw):
             w_end = j + sw * ow
-            gx[:, :, i:h_end:sh, j:w_end:sw] += g[:, :, i, j]
-    return gx
+            gx[:, :, i:h_end:sh, j:w_end:sw] += g[:, i, j]
+    return gx.transpose(1, 0, 2, 3)
 
 
 def im2col(x: Tensor, kernel_size, stride=1) -> Tensor:
@@ -85,13 +105,14 @@ def conv2d(
     o, c, kh, kw = weight.shape
     col = im2col(x, (kh, kw), stride)  # (N, OH, OW, C, kh, kw)
     n, oh, ow = col.shape[0], col.shape[1], col.shape[2]
-    col2 = col.reshape((n * oh * ow, c * kh * kw))
+    # Both steps are views of the channel-major patch buffer.
+    patches = col.transpose((3, 4, 5, 0, 1, 2)).reshape((c * kh * kw, n * oh * ow))
     w2 = weight.reshape((o, c * kh * kw))
-    out = col2 @ w2.T  # (N*OH*OW, O)
+    out = w2 @ patches  # (O, N*OH*OW)
     if bias is not None:
-        out = out + bias
-    out = out.reshape((n, oh, ow, o))
-    return out.transpose((0, 3, 1, 2))
+        out = out + bias.reshape((o, 1))
+    out = out.reshape((o, n, oh, ow))
+    return out.transpose((1, 0, 2, 3))
 
 
 def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:

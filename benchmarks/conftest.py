@@ -4,12 +4,23 @@ Each benchmark regenerates one table or figure of the paper (see the
 artifact map in README.md).  Runs are single-shot (``benchmark.pedantic``
 with one round) because each one is a full search/training pipeline,
 not a micro-kernel.  Set ``REPRO_FULL=1`` for paper-scale budgets.
+
+The perf gates compare against the frozen reference builds in
+``tests/oracles/``; ``tests/`` is appended to ``sys.path`` so they
+import when this directory runs without ``tests/conftest.py``.
 """
+
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.experiments import ExperimentScale, search_transfer_topologies
 from repro.utils.rng import set_seed
+
+_TESTS_DIR = str(Path(__file__).resolve().parents[1] / "tests")
+if _TESTS_DIR not in sys.path:
+    sys.path.append(_TESTS_DIR)
 
 
 @pytest.fixture(autouse=True)

@@ -1,9 +1,9 @@
 """Micro-benchmark: vectorized supermesh fast path vs reference loops.
 
 Unlike the table/figure benchmarks in this directory (full pipelines),
-this is a micro-kernel check of the PR-2 fast path: the fused cascade
-forward (``backend="fast"``) must beat the per-block op loop
-(``backend="reference"``) by >= 3x at the paper's default K = 8, while
+this is a micro-kernel check of the fused build path: the fused cascade
+forward must beat the per-block op loop (the oracle in
+``tests/oracles/``) by >= 3x at the paper's default K = 8, while
 agreeing with it to 1e-9 on both the forward values and every
 parameter gradient.
 
@@ -21,6 +21,8 @@ import pytest
 from repro.core.supermesh import SuperMeshCore, SuperMeshSpace
 from repro.photonics import AMF
 from repro.ptc import FixedTopologyFactory, MZIMeshFactory
+
+from oracles import build_reference, supermesh_forward_reference
 
 K = 8
 SPEEDUP_FLOOR = 3.0
@@ -55,15 +57,15 @@ def _median_ratio(fn_ref, fn_fast, reps=20, trials=9):
 
 
 def _make_pair(seed=5):
+    """(fast, reference) space+core pairs with identical init: the
+    first builds with ``core()``, the second with the oracle."""
     pair = []
-    for backend in ("fast", "reference"):
+    for _ in range(2):
         space = SuperMeshSpace(
             k=K, pdk=AMF, f_min=240_000, f_max=300_000, b_min=4, b_max=16,
             rng=np.random.default_rng(seed),
         )
-        core = SuperMeshCore(
-            space, 2 * K, 2 * K, rng=np.random.default_rng(seed + 1), backend=backend
-        )
+        core = SuperMeshCore(space, 2 * K, 2 * K, rng=np.random.default_rng(seed + 1))
         space.sample(tau=1.0, rng=np.random.default_rng(seed + 2))
         pair.append((space, core))
     return pair
@@ -71,7 +73,11 @@ def _make_pair(seed=5):
 
 class TestSupermeshFastPath:
     def test_forward_speedup_at_k8(self):
-        (sf, cf), (sr, cr) = _make_pair()
+        (sf, cf), (sr, core_r) = _make_pair()
+
+        def cr():
+            return supermesh_forward_reference(core_r)
+
         cf()  # warmup (allocator, BLAS thread pools)
         cr()
         t_fast = _median_seconds(cf)
@@ -88,7 +94,7 @@ class TestSupermeshFastPath:
 
     def test_forward_and_grad_parity(self):
         (sf, cf), (sr, cr) = _make_pair()
-        wf, wr = cf(), cr()
+        wf, wr = cf(), supermesh_forward_reference(cr)
         assert np.abs(wf.data - wr.data).max() <= TOL
         (wf ** 2).sum().backward()
         (wr ** 2).sum().backward()
@@ -111,24 +117,28 @@ class TestFactoryFastPath:
         "make",
         [
             pytest.param(
-                lambda b: MZIMeshFactory(K, 16, rng=np.random.default_rng(1), backend=b),
+                lambda: MZIMeshFactory(K, 16, rng=np.random.default_rng(1)),
                 id="mzi",
             ),
             pytest.param(
-                lambda b: FixedTopologyFactory(
+                lambda: FixedTopologyFactory(
                     K, 16, [(None, np.ones(K // 2, bool), i % 2) for i in range(8)],
-                    rng=np.random.default_rng(1), backend=b,
+                    rng=np.random.default_rng(1),
                 ),
                 id="fixed-b8",
             ),
         ],
     )
     def test_factory_forward_faster_than_reference(self, make):
-        fast, ref = make("fast"), make("reference")
+        fast, ref = make(), make()
+
+        def ref_build():
+            return build_reference(ref)
+
         fast.build()
-        ref.build()
+        ref_build()
         t_fast = _median_seconds(fast.build)
-        t_ref = _median_seconds(ref.build)
+        t_ref = _median_seconds(ref_build)
         print(
             f"\nfactory build: fast {t_fast * 1e3:.2f} ms, "
             f"reference {t_ref * 1e3:.2f} ms, speedup {t_ref / t_fast:.1f}x"

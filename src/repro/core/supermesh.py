@@ -19,13 +19,13 @@ Sigma (:class:`SuperMeshCore`), mirroring Eq. (2) where the layout
 ``alpha`` is shared among all blocks.
 
 Like the mesh factories in :mod:`repro.ptc.unitary`, the SuperMesh has
-two build backends.  The default ``"fast"`` path assembles all DC
-columns in one scatter, stacks the per-block transfer matrices with a
-batched matmul, and runs each unitary as a single fused
-:func:`repro.autograd.phase_column_cascade` node (including the
-Gumbel execution gating).  ``backend="reference"`` keeps the original
-per-block op loop as ground truth; parity between the two (forward and
-gradients) is enforced by ``tests/core/test_supermesh_fastpath.py``.
+one build path: it assembles all DC columns in one scatter, stacks the
+per-block transfer matrices with a batched matmul, and runs both
+unitaries as a single fused :func:`repro.autograd.phase_column_cascade`
+node (including the Gumbel execution gating).  The original per-block
+op loop lives in ``tests/oracles/`` as ground truth; parity with it
+(forward and gradients) is enforced by
+``tests/core/test_supermesh_fastpath.py``.
 """
 
 from __future__ import annotations
@@ -56,11 +56,6 @@ class SuperMeshSample:
 
     transfer: Tensor  # (n_blocks, K, K) complex stacked P~ @ T
     exec_prob: Tensor  # (n_blocks,) soft execution weights m_{b,2}
-
-    @property
-    def block_transfer(self) -> List[Tensor]:
-        """Per-block (K, K) views of :attr:`transfer` (reference path)."""
-        return [self.transfer[b] for b in range(self.transfer.shape[0])]
 
 
 class SuperMeshSpace(Module):
@@ -175,8 +170,7 @@ class SuperMeshSpace(Module):
     def _dc_columns(self) -> Tensor:
         """(n_blocks, K, K) differentiable DC-column matrices.
 
-        Batched equivalent of :func:`_dc_matrix_from_transmissions`:
-        all blocks' quantized transmissions are turned into column
+        All blocks' quantized transmissions are turned into column
         matrices with a single scatter, so STE gradients reach the
         coupler latents through one graph node instead of O(B).
         """
@@ -350,33 +344,6 @@ class SuperMeshSpace(Module):
         return best
 
 
-def _dc_matrix_from_transmissions(ts: Tensor, k: int, offset: int) -> Tensor:
-    """Differentiable K x K DC-column matrix from quantized transmissions.
-
-    Mirrors :func:`repro.photonics.devices.dc_layer_matrix` but takes an
-    autograd tensor of (already binarized) transmissions so STE
-    gradients reach the coupler latents.
-    """
-    from ..photonics.devices import scatter_matrix
-
-    n = int(ts.shape[0])
-    if n == 0:
-        return Tensor(np.eye(k, dtype=complex))
-    pos = offset + 2 * np.arange(n)
-    one_minus = T.clip(1.0 - ts * ts, 0.0, 1.0)
-    s = T.sqrt(one_minus + 1e-12)
-    js = T.mul(Tensor(np.array(1j)), s)
-    tc = ts.astype(np.complex128)
-    rows = np.concatenate([pos, pos + 1, pos, pos + 1])
-    cols = np.concatenate([pos, pos + 1, pos + 1, pos])
-    vals = T.concat([tc, tc, js, js], axis=0)
-    mat = scatter_matrix(vals, rows, cols, (k, k))
-    covered = np.zeros(k, dtype=bool)
-    covered[pos] = True
-    covered[pos + 1] = True
-    return mat + Tensor(np.diag((~covered).astype(complex)))
-
-
 class SuperMeshCore(Module):
     """Per-layer weights of a SuperMesh-backed USV block matrix.
 
@@ -385,9 +352,8 @@ class SuperMeshCore(Module):
     forward pass consumes ``space.current`` — the trainer samples the
     architecture once per step so all layers see the same SubMesh.
 
-    ``backend="fast"`` (default) builds each unitary as one fused
-    cascade node; ``backend="reference"`` keeps the per-block op loop
-    (see the module docstring).
+    Both unitaries are built as one fused cascade node (see the module
+    docstring).
     """
 
     def __init__(
@@ -396,18 +362,9 @@ class SuperMeshCore(Module):
         rows: int,
         cols: int,
         rng=None,
-        backend: Optional[str] = None,
         exec_backend=None,
     ):
         super().__init__()
-        # Imported lazily: repro.ptc pulls in repro.core.topology at
-        # package-import time, so a module-level import would cycle.
-        from ..ptc.unitary import _BACKENDS, DEFAULT_BACKEND
-
-        backend = DEFAULT_BACKEND if backend is None else backend
-        if backend not in _BACKENDS:
-            raise ValueError(f"backend must be one of {_BACKENDS}, got {backend!r}")
-        self.backend = backend
         #: Execution backend (array engine / dtype) for the fused
         #: cascade, or None to follow the process-wide default.
         self.exec_backend = exec_backend
@@ -473,28 +430,6 @@ class SuperMeshCore(Module):
         uv = uv.reshape((2, n, k, k))
         return uv[0], uv[1]
 
-    def _unitary(self, sample: SuperMeshSample, side: str) -> Tensor:
-        """Reference per-block build (ground truth for the fast path)."""
-        k = self.k
-        u: Optional[Tensor] = None
-        eye = Tensor(np.eye(k, dtype=complex))
-        phases = self._noisy_phases()
-        block_transfer = sample.block_transfer
-        for b in self.space.side_blocks(side):
-            ps = T.exp(
-                T.mul(Tensor(np.array(-1j)), phases[:, b, :])
-            )  # (n_units, K)
-            cb = block_transfer[b]  # (K, K)
-            if u is None:
-                block = cb * ps.reshape((self.n_units, 1, k))
-            else:
-                block = cb @ (ps.reshape((self.n_units, k, 1)) * u)
-            m = sample.exec_prob[b]
-            skip = eye if u is None else u
-            u = m * block + (1.0 - m) * skip
-        assert u is not None
-        return u
-
     def forward(self) -> Tensor:
         sample = self.space.current
         if sample is None:
@@ -502,19 +437,9 @@ class SuperMeshCore(Module):
         # Stabilization (paper 3.3.2): row-normalize U, column-normalize V
         # so the cascade of relaxed (non-orthogonal) CR layers keeps
         # healthy statistics.  No-op once U, V are true unitaries.
-        if self.backend == "fast":
-            u, v = self._unitaries_fast(sample)
-            u = l2_normalize(u, axis=-1)
-            v = l2_normalize(v, axis=-2)
-        else:
-            u = self._unitary(sample, "u")
-            v = self._unitary(sample, "v")
-            u = u / (T.sum_(u * u.conj(), axis=-1, keepdims=True).real() + 1e-12).sqrt().astype(
-                np.complex128
-            )
-            v = v / (T.sum_(v * v.conj(), axis=-2, keepdims=True).real() + 1e-12).sqrt().astype(
-                np.complex128
-            )
+        u, v = self._unitaries_fast(sample)
+        u = l2_normalize(u, axis=-1)
+        v = l2_normalize(v, axis=-2)
         # Sigma follows the built dtype (complex64 under a forward-only
         # low-precision execution backend, complex128 otherwise).
         cdtype = np.result_type(u.data.dtype, np.complex64)

@@ -26,9 +26,9 @@ realization as a *trial*:
    and the whole grid is scored in a single shared pass over the test
    data via :func:`~repro.onn.trainer.evaluate_population`.
 
-``backend="reference"`` keeps the sequential loop — per-trial
-per-column builds and one test-set pass per trial — as the parity and
-benchmark baseline (``benchmarks/test_perf_robustness.py`` gates the
+``backend="reference"`` keeps the sequential loop — per-trial builds
+through the factories' normal ``build`` path and one test-set pass per
+trial — as the parity and benchmark baseline (``benchmarks/test_perf_robustness.py`` gates the
 speedup).  Both backends consume the *same* pre-drawn noise offsets,
 so their per-run accuracies agree exactly at a fixed seed.
 
@@ -191,7 +191,6 @@ def _run_weight_trials(
             core.build_weight_trials(
                 off_u,
                 off_v,
-                backend="fast",
                 const_stacks_u=cu,
                 const_stacks_v=cv,
                 exec_backend=eb,

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -202,16 +202,3 @@ def baseline_results(
         rows.append(MeshResult(name=name, footprint=fb, accuracy=acc))
     return rows
 
-
-def format_row(r: MeshResult) -> str:
-    """Back-compat alias — the writer moved to :mod:`.report`."""
-    from .report import format_row as _format_row
-
-    return _format_row(r)
-
-
-def print_table(title: str, rows: Sequence[MeshResult]) -> None:
-    """Back-compat alias — the writer moved to :mod:`.report`."""
-    from .report import print_table as _print_table
-
-    _print_table(title, rows)

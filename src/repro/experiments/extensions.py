@@ -23,9 +23,9 @@ it builds the equivalent :class:`repro.campaign.CampaignSpec` (via
 campaign engine.  The per-cell science lives in the ``*_cell``
 functions below — pure functions of JSON-native params, shared by the
 shims, the campaign configs in ``examples/campaigns/``, and the
-service-sharded route.  The pre-redesign loops are kept verbatim as
-``engine="reference"`` oracles; ``tests/campaign/test_campaign_parity.py`` pins
-both paths byte-identical at fixed seeds.
+service-sharded route.  The pre-redesign loops are kept verbatim in
+``tests/oracles/studies.py``; ``tests/campaign/test_campaign_parity.py``
+pins the shims byte-identical to them at fixed seeds.
 """
 
 from __future__ import annotations
@@ -77,13 +77,6 @@ __all__ = [
 
 def _resolve_pdk(pdk: Union[str, FoundryPDK]) -> FoundryPDK:
     return get_pdk(pdk) if isinstance(pdk, str) else pdk
-
-
-def _check_engine(engine: str) -> None:
-    if engine not in ("campaign", "reference"):
-        raise ValueError(
-            f"engine must be 'campaign' or 'reference', got {engine!r}"
-        )
 
 
 def _warn_shim(legacy: str, builder: str) -> None:
@@ -173,7 +166,6 @@ def run_search_method_ablation(
     budget: int = 12,
     scale: Optional[ExperimentScale] = None,
     seed: int = 0,
-    engine: str = "campaign",
 ) -> SearchMethodAblation:
     """ADEPT vs random vs evolutionary at a matched evaluation budget.
 
@@ -182,15 +174,8 @@ def run_search_method_ablation(
     are scored with the same expressivity evaluator (1 - fit error to
     random unitaries).
 
-    Deprecated shim: ``engine="campaign"`` (default) runs the
-    ``search-ablation`` campaign; ``engine="reference"`` replays the
-    pre-redesign loop (the parity oracle).
+    Deprecated shim: runs the ``search-ablation`` campaign.
     """
-    _check_engine(engine)
-    if engine == "reference":
-        return _run_search_method_ablation_reference(
-            k, pdk, window_kum2, budget, scale, seed
-        )
     _warn_shim("run_search_method_ablation", "search_ablation_spec")
     from ..campaign import run_campaign
     from ..campaign.studies import search_ablation_spec
@@ -209,46 +194,6 @@ def run_search_method_ablation(
         out.topologies.append(
             PTCTopology.from_json(canonical_json_dumps(r["topology"]))
         )
-    return out
-
-
-def _run_search_method_ablation_reference(
-    k: int,
-    pdk: FoundryPDK,
-    window_kum2: Tuple[float, float],
-    budget: int,
-    scale: Optional[ExperimentScale],
-    seed: int,
-) -> SearchMethodAblation:
-    """The pre-redesign loop, kept verbatim as the parity oracle."""
-    scale = scale or ExperimentScale()
-    f_min, f_max = window_kum2[0] * 1000.0, window_kum2[1] * 1000.0
-    score_fn = make_expressivity_evaluator(steps=200, n_targets=2, seed=seed)
-    out = SearchMethodAblation(window=(f_min, f_max))
-
-    adept = run_search(k, pdk, window_kum2, scale, name="adept", seed=seed)
-    candidates = [("adept", adept.topology)]
-
-    rnd = RandomSearch(k, pdk, f_min, f_max,
-                       evaluate=make_expressivity_evaluator(steps=80, seed=seed),
-                       seed=seed).run(n_samples=budget)
-    candidates.append(("random", rnd.topology))
-
-    population = max(2, budget // 4)
-    evo = EvolutionarySearch(
-        k, pdk, f_min, f_max,
-        evaluate=make_expressivity_evaluator(steps=80, seed=seed),
-        population=population, seed=seed,
-    ).run(generations=max(1, (budget - population) // population),
-          children_per_gen=population)
-    candidates.append(("evolutionary", evo.topology))
-
-    for name, topo in candidates:
-        out.methods.append(name)
-        out.scores.append(float(score_fn(topo)))
-        out.footprints.append(topo.footprint(pdk).total)
-        out.feasible.append(is_feasible(topo, pdk, f_min, f_max))
-        out.topologies.append(topo)
     return out
 
 
@@ -345,7 +290,6 @@ def run_expressivity_comparison(
     steps: int = 400,
     n_targets: int = 2,
     seed: int = 0,
-    engine: str = "campaign",
 ) -> ExpressivityComparison:
     """Fit error to Haar-random unitaries for MZI / FFT / searched-space
     topologies at two depths (windows a1 and a5 of Table 1).
@@ -354,15 +298,8 @@ def run_expressivity_comparison(
     MZI (universal) < deep ADEPT-space < shallow ADEPT-space ~ FFT,
     with footprints in the opposite order — the Pareto trade-off.
 
-    Deprecated shim: ``engine="campaign"`` (default) runs the
-    ``expressivity`` campaign; ``engine="reference"`` replays the
-    pre-redesign loop (the parity oracle).
+    Deprecated shim: runs the ``expressivity`` campaign.
     """
-    _check_engine(engine)
-    if engine == "reference":
-        return _run_expressivity_comparison_reference(
-            k, pdk, steps, n_targets, seed
-        )
     _warn_shim("run_expressivity_comparison", "expressivity_spec")
     from ..campaign import run_campaign
     from ..campaign.studies import expressivity_spec
@@ -376,50 +313,6 @@ def run_expressivity_comparison(
         out.errors.append(r["error"])
         out.fidelities.append(r["fidelity"])
         out.footprints_kum2.append(r["footprint_kum2"])
-    return out
-
-
-def _run_expressivity_comparison_reference(
-    k: int,
-    pdk: FoundryPDK,
-    steps: int,
-    n_targets: int,
-    seed: int,
-) -> ExpressivityComparison:
-    """The pre-redesign loop, kept verbatim as the parity oracle."""
-    from scipy.stats import unitary_group
-
-    from ..photonics.footprint import butterfly_footprint, mzi_onn_footprint
-    from .common import TABLE1_WINDOWS
-
-    rng = np.random.default_rng(seed)
-    windows = TABLE1_WINDOWS[k]
-    shallow = random_feasible_topology(
-        k, pdk, windows[0][0] * 1e3, windows[0][1] * 1e3, rng=rng, name="adept-a1")
-    deep = random_feasible_topology(
-        k, pdk, windows[-1][0] * 1e3, windows[-1][1] * 1e3, rng=rng, name="adept-a5")
-
-    entries = [
-        ("mzi", "mzi", None, mzi_onn_footprint(pdk, k).total / 1e3),
-        ("fft", "fft", None, butterfly_footprint(pdk, k).total / 1e3),
-        ("adept-a1", "topology", shallow, shallow.footprint(pdk).total / 1e3),
-        ("adept-a5", "topology", deep, deep.footprint(pdk).total / 1e3),
-    ]
-    out = ExpressivityComparison(k=k)
-    for name, kind, topo, fp in entries:
-        errs, fids = [], []
-        for t in range(n_targets):
-            factory = build_factory(kind, k, topology=topo,
-                                    rng=np.random.default_rng(seed + t))
-            target = unitary_group.rvs(k, random_state=seed + 100 + t)
-            res = fit_unitary(factory, target, steps=steps, lr=0.05,
-                              rng=np.random.default_rng(seed + 200 + t))
-            errs.append(res.error)
-            fids.append(res.fidelity)
-        out.names.append(name)
-        out.errors.append(float(np.mean(errs)))
-        out.fidelities.append(float(np.mean(fids)))
-        out.footprints_kum2.append(float(fp))
     return out
 
 
@@ -524,7 +417,6 @@ def run_quantization_study(
     bit_widths: Sequence[int] = (6, 4, 3, 2),
     steps: int = 400,
     seed: int = 0,
-    engine: str = "campaign",
 ) -> QuantizationStudy:
     """Low-bit phase control on the universal MZI mesh.
 
@@ -533,14 +425,9 @@ def run_quantization_study(
     dominate PTQ at low bit widths (the ROQ result); both converge to
     the full-precision error as b grows.
 
-    Deprecated shim: ``engine="campaign"`` (default) runs the
-    ``quantization`` campaign (one cell per bit width);
-    ``engine="reference"`` replays the pre-redesign loop (the parity
-    oracle).
+    Deprecated shim: runs the ``quantization`` campaign (one cell per
+    bit width).
     """
-    _check_engine(engine)
-    if engine == "reference":
-        return _run_quantization_study_reference(k, bit_widths, steps, seed)
     _warn_shim("run_quantization_study", "quantization_spec")
     from ..campaign import run_campaign
     from ..campaign.studies import quantization_spec
@@ -553,81 +440,6 @@ def run_quantization_study(
         out.full_precision_error = r["full_precision_error"]
         out.ptq_errors.append(r["ptq_error"])
         out.qat_errors.append(r["qat_error"])
-    return out
-
-
-def _run_quantization_study_reference(
-    k: int,
-    bit_widths: Sequence[int],
-    steps: int,
-    seed: int,
-) -> QuantizationStudy:
-    """The pre-redesign loop, kept verbatim as the parity oracle."""
-    from scipy.stats import unitary_group
-
-    target = unitary_group.rvs(k, random_state=seed)
-    target_norm = float(np.linalg.norm(target))
-    out = QuantizationStudy(k=k, bit_widths=list(bit_widths))
-
-    def realized(factory, psi: np.ndarray) -> np.ndarray:
-        u = factory.build().data[0]
-        return np.exp(-1j * psi)[:, None] * u
-
-    factory = build_factory("mzi", k, rng=np.random.default_rng(seed))
-    full = fit_unitary(factory, target, steps=steps, lr=0.05,
-                       rng=np.random.default_rng(seed + 1))
-    out.full_precision_error = full.error
-
-    # PTQ: snap every trained phase (mesh + output screen) to the
-    # b-bit grid, re-measure the error.
-    for bits in bit_widths:
-        saved = [p.data.copy() for p in factory.parameters()]
-        for p in factory.parameters():
-            p.data = quantize_phase(p.data, bits)
-        psi_q = quantize_phase(full.output_phase, bits)
-        u = realized(factory, psi_q)
-        out.ptq_errors.append(float(np.linalg.norm(u - target)) / target_norm)
-        for p, data in zip(factory.parameters(), saved):
-            p.data = data
-
-    # QAT: finetune the full-precision solution with STE quantizers on
-    # *every* phase — mesh and output screen — so the training
-    # objective equals the deployed forward exactly (the ROQ recipe).
-    from ..autograd import Tensor
-    from ..core.quantization import ste_quantize_phase
-    from ..nn.module import Parameter
-    from ..optim import Adam
-
-    trained = [p.data.copy() for p in factory.parameters()]
-    t_target = Tensor(target.reshape(1, k, k))
-    for bits in bit_widths:
-        f = build_factory("mzi", k, rng=np.random.default_rng(seed))
-        for p, data in zip(f.parameters(), trained):
-            p.data = data.copy()
-        f.phase_transform = make_phase_quantizer(bits)
-        psi = Parameter(full.output_phase.copy())
-        params = list(f.parameters()) + [psi]
-        opt = Adam(params, lr=0.01)
-        # STE descent on a piecewise-constant forward is not monotone:
-        # keep the best quantized configuration seen.  The first
-        # iterate *is* the PTQ solution, so QAT can only improve on it.
-        best = float("inf")
-        best_state = [p.data.copy() for p in params]
-        for _ in range(max(100, steps // 2)):
-            opt.zero_grad()
-            screen = (Tensor(np.array(-1j)) * ste_quantize_phase(psi, bits)).exp()
-            u = screen.reshape((1, k, 1)) * f.build()
-            loss = ((u - t_target) * (u - t_target).conj()).real().sum()
-            err = float(loss.data)
-            if err < best:
-                best = err
-                best_state = [p.data.copy() for p in params]
-            loss.backward()
-            opt.step()
-        for p, data in zip(params, best_state):
-            p.data = data
-        u = realized(f, quantize_phase(psi.data, bits))
-        out.qat_errors.append(float(np.linalg.norm(u - target)) / target_norm)
     return out
 
 
@@ -690,7 +502,6 @@ def run_power_comparison(
     pdk: FoundryPDK = AMF,
     window_kum2: Tuple[float, float] = (240.0, 300.0),
     seed: int = 0,
-    engine: str = "campaign",
 ) -> PowerComparison:
     """Electrical power, optical latency, and fJ/MAC for the MZI and
     butterfly baselines vs a footprint-constrained searched-space
@@ -700,13 +511,8 @@ def run_power_comparison(
     blocks of heaters and the longest optical path, so it loses on all
     three axes — the physical argument behind ADEPT's compact designs.
 
-    Deprecated shim: ``engine="campaign"`` (default) runs the ``power``
-    campaign; ``engine="reference"`` replays the pre-redesign loop
-    (the parity oracle).
+    Deprecated shim: runs the ``power`` campaign.
     """
-    _check_engine(engine)
-    if engine == "reference":
-        return _run_power_comparison_reference(k, pdk, window_kum2, seed)
     _warn_shim("run_power_comparison", "power_spec")
     from ..campaign import run_campaign
     from ..campaign.studies import power_spec
@@ -720,34 +526,6 @@ def run_power_comparison(
         out.latency_ps.append(r["latency_ps"])
         out.energy_per_mac_fj.append(r["energy_per_mac_fj"])
         out.worst_loss_db.append(r["worst_loss_db"])
-    return out
-
-
-def _run_power_comparison_reference(
-    k: int,
-    pdk: FoundryPDK,
-    window_kum2: Tuple[float, float],
-    seed: int,
-) -> PowerComparison:
-    """The pre-redesign loop, kept verbatim as the parity oracle."""
-    from ..photonics.power import estimate_power
-    from ..ptc.reference_topologies import butterfly_topology, mzi_topology
-
-    designs = [
-        ("mzi", mzi_topology(k)),
-        ("fft", butterfly_topology(k)),
-        ("adept", random_feasible_topology(
-            k, pdk, window_kum2[0] * 1e3, window_kum2[1] * 1e3,
-            rng=np.random.default_rng(seed), name="adept")),
-    ]
-    out = PowerComparison(k=k)
-    for name, topo in designs:
-        report = estimate_power(topo, pdk)
-        out.names.append(name)
-        out.total_power_mw.append(report.total_power_mw)
-        out.latency_ps.append(report.latency_ps)
-        out.energy_per_mac_fj.append(report.energy_per_mac_fj)
-        out.worst_loss_db.append(report.worst_path_loss_db)
     return out
 
 
@@ -826,7 +604,6 @@ def run_nonideality_study(
     deep_blocks: int = 16,
     n_trials: int = 8,
     seed: int = 0,
-    engine: str = "campaign",
 ) -> NonidealityStudy:
     """Fidelity of shallow vs deep meshes under each nonideality.
 
@@ -834,15 +611,8 @@ def run_nonideality_study(
     and more crosstalk exposure per inference — the device-level
     mechanism behind the MZI-ONN accuracy collapse in Fig. 4.
 
-    Deprecated shim: ``engine="campaign"`` (default) runs the
-    ``nonideality`` campaign; ``engine="reference"`` replays the
-    pre-redesign loop (the parity oracle).
+    Deprecated shim: runs the ``nonideality`` campaign.
     """
-    _check_engine(engine)
-    if engine == "reference":
-        return _run_nonideality_study_reference(
-            k, shallow_blocks, deep_blocks, n_trials, seed
-        )
     _warn_shim("run_nonideality_study", "nonideality_spec")
     from ..campaign import run_campaign
     from ..campaign.studies import nonideality_spec
@@ -857,33 +627,4 @@ def run_nonideality_study(
         out.specs.append(cell.coords["nonideality"])
         out.shallow_fidelity.append(r["shallow_fidelity"])
         out.deep_fidelity.append(r["deep_fidelity"])
-    return out
-
-
-def _run_nonideality_study_reference(
-    k: int,
-    shallow_blocks: int,
-    deep_blocks: int,
-    n_trials: int,
-    seed: int,
-) -> NonidealityStudy:
-    """The pre-redesign loop, kept verbatim as the parity oracle."""
-    from ..core.topology import random_topology
-
-    rng = np.random.default_rng(seed)
-    shallow = random_topology(k, shallow_blocks, shallow_blocks, rng,
-                              coupler_density=1.0, permute_prob=0.5)
-    deep = random_topology(k, deep_blocks, deep_blocks, rng,
-                           coupler_density=1.0, permute_prob=0.5)
-    specs = _nonideality_specs()
-    out = NonidealityStudy(k=k, shallow_blocks=shallow_blocks,
-                           deep_blocks=deep_blocks)
-    for name, spec in specs.items():
-        s_mean, _ = unitary_fidelity_under_noise(
-            shallow, spec, n_trials=n_trials, rng=np.random.default_rng(seed + 1))
-        d_mean, _ = unitary_fidelity_under_noise(
-            deep, spec, n_trials=n_trials, rng=np.random.default_rng(seed + 1))
-        out.specs.append(name)
-        out.shallow_fidelity.append(s_mean)
-        out.deep_fidelity.append(d_mean)
     return out

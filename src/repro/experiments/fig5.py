@@ -50,8 +50,8 @@ def alm_scan_point(
     steps: int = 600,
     seed: int = 0,
 ) -> ALMTrace:
-    """One rho0 setting of the Fig. 5(a) scan — the shard unit shared
-    by the in-process loop and the design service's ``fig5a`` job."""
+    """One rho0 setting of the Fig. 5(a) scan — the cell body of the
+    ``alm-scan`` campaign kind, inline or service-sharded."""
     rng = spawn_rng(seed)
     learner = PermutationLearner(k, n_blocks, rho0=rho0, total_steps=steps)
     x = Tensor(rng.normal(size=(16, k)))
@@ -160,8 +160,8 @@ def penalty_scan_point(
     steps: int = 150,
     seed: int = 0,
 ) -> PenaltyTrace:
-    """One beta setting of the Fig. 5(b) scan — the shard unit shared
-    by the in-process loop and the design service's ``fig5b`` job."""
+    """One beta setting of the Fig. 5(b) scan — the cell body of the
+    ``penalty-scan`` campaign kind, inline or service-sharded."""
     from ..core import SuperMeshLinear
 
     f_min, f_max = window_kum2[0] * 1000, window_kum2[1] * 1000

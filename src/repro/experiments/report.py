@@ -12,8 +12,7 @@ tabular writers (the campaign engine's report layer renders through
 them), the ``mesh_results_*`` / :func:`robustness_csv` emitters are
 thin presets over them with their historical bytes pinned by
 ``tests/experiments/test_report.py``, and the console-table helpers
-:func:`format_row` / :func:`print_table` (formerly in ``common.py``)
-live here too.
+:func:`format_row` / :func:`print_table` live here too.
 """
 
 from __future__ import annotations

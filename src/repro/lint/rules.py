@@ -620,9 +620,8 @@ class BespokeSweepRule(Rule):
     artifact emission for free.  A bespoke ``for beta in
     BETA_VALUES:`` loop inside a ``run_*`` driver re-creates none of
     that, so new sweeps must be campaign kinds plus a thin shim.
-    Pre-redesign drivers (the frozen ``_run_*_reference`` parity
-    oracles and the table sweeps) are grandfathered via
-    ``lint-baseline.json``.
+    The two pre-redesign table sweeps (``table1.py``, ``table2.py``)
+    are grandfathered via ``lint-baseline.json``.
     """
 
     id = "RL009"

@@ -111,7 +111,6 @@ class BlockUSV(Module):
         self,
         offsets_u: Sequence[np.ndarray],
         offsets_v: Sequence[np.ndarray],
-        backend: Optional[str] = None,
         const_stacks_u: Optional[np.ndarray] = None,
         const_stacks_v: Optional[np.ndarray] = None,
         exec_backend=None,
@@ -128,12 +127,8 @@ class BlockUSV(Module):
         """
         kw_u = {} if const_stacks_u is None else {"const_stacks": const_stacks_u}
         kw_v = {} if const_stacks_v is None else {"const_stacks": const_stacks_v}
-        u = self.u_factory.build_trials(
-            offsets_u, backend=backend, exec_backend=exec_backend, **kw_u
-        )
-        v = self.v_factory.build_trials(
-            offsets_v, backend=backend, exec_backend=exec_backend, **kw_v
-        )
+        u = self.u_factory.build_trials(offsets_u, exec_backend=exec_backend, **kw_u)
+        v = self.v_factory.build_trials(offsets_v, exec_backend=exec_backend, **kw_v)
         t = u.shape[0]
         # Cast sigma to the matching real dtype first: float64 * c64
         # would silently promote the whole stack back to complex128.

@@ -33,17 +33,14 @@ from .population import (
     fit_unitary_population,
 )
 from .unitary import (
-    DEFAULT_BACKEND,
     ButterflyFactory,
     FixedTopologyFactory,
     MZIMeshFactory,
     UnitaryFactory,
-    batched_scatter,
 )
 
 __all__ = [
     "ButterflyFactory",
-    "DEFAULT_BACKEND",
     "PopulationFitResult",
     "TopologyPopulation",
     "UnitaryBuildCache",
@@ -65,7 +62,6 @@ __all__ = [
     "butterfly_topology",
     "mzi_topology",
     "stride_interleave_perm",
-    "batched_scatter",
     "butterfly_stage_matrix",
     "butterfly_transfer_np",
     "dft_matrix",

@@ -21,31 +21,24 @@ All factories support Gaussian phase-noise injection (``noise_std``)
 used for variation-aware training and robustness evaluation (paper
 Fig. 4).
 
-Backends
---------
-Every factory builds its transfer matrices through one of two paths:
-
-* ``backend="fast"`` (default) — vectorized column application: the
-  phase factors of *all* columns are computed in one tensor op and the
-  whole column cascade runs as a single fused graph node
-  (:func:`repro.autograd.phase_column_cascade` /
-  :func:`repro.autograd.matmul_chain`).
-* ``backend="reference"`` — the original one-op-per-column loop, kept
-  as executable documentation and as the ground truth for the parity
-  tests in ``tests/ptc/test_fast_path_parity.py``.
-
-Both paths compute the same math; they differ only in how many graph
-nodes (and Python round-trips) the build costs.  On the eval path
-(grad mode off, no noise) fast builds are additionally memoized in a
-:class:`repro.ptc.cache.UnitaryBuildCache` keyed on the (topology,
-phase snapshot) content, so repeated evaluation of an unchanged mesh
-is a dictionary lookup.
+Build path
+----------
+Every factory builds its transfer matrices by vectorized column
+application: the phase factors of *all* columns are computed in one
+tensor op and the whole column cascade runs as a single fused graph
+node (:func:`repro.autograd.phase_column_cascade` /
+:func:`repro.autograd.matmul_chain`).  The original one-op-per-column
+loops are kept outside the package, in ``tests/oracles/``, as the
+ground truth of the parity tests (``tests/ptc/test_fast_path_parity.py``).
+On the eval path (grad mode off, no noise) builds are additionally
+memoized in a :class:`repro.ptc.cache.UnitaryBuildCache` keyed on the
+(topology, phase snapshot) content, so repeated evaluation of an
+unchanged mesh is a dictionary lookup.
 
 Execution backends
 ------------------
-Orthogonal to the build-path choice above, every factory routes its
-array arithmetic through an *execution backend*
-(:mod:`repro.autograd.backend`): ``exec_backend`` may be set at
+Every factory routes its array arithmetic through an *execution
+backend* (:mod:`repro.autograd.backend`): ``exec_backend`` may be set at
 construction, overridden per ``build``/``build_trials`` call, or left
 ``None`` to follow the process-wide default.  The stock ``"numpy"``
 backend computes in complex128 and is bit-compatible with the graph
@@ -83,33 +76,6 @@ from ..photonics.devices import T_5050, dc_layer_matrix_np
 from ..utils.rng import get_rng
 from .cache import UnitaryBuildCache, content_digest, unitary_cache_enabled
 
-#: Build backend used when a factory is constructed without an explicit
-#: ``backend`` argument.  ``"fast"`` = fused cascade, ``"reference"`` =
-#: per-column op loop.
-DEFAULT_BACKEND = "fast"
-
-_BACKENDS = ("fast", "reference")
-
-
-def batched_scatter(
-    values: Tensor,
-    rows: np.ndarray,
-    cols: np.ndarray,
-    k: int,
-) -> Tensor:
-    """Build (..., K, K) matrices with ``out[..., rows[i], cols[i]] =
-    values[..., i]`` (indices unique; all other entries zero)."""
-    values = ensure_tensor(values)
-    batch = values.shape[:-1]
-    out = np.zeros(batch + (k, k), dtype=values.data.dtype)
-    out[..., rows, cols] = values.data
-
-    def backward(g: np.ndarray):
-        return (g[..., rows, cols],)
-
-    return custom_grad(out, (values,), backward)
-
-
 def _phase_factor(phases: Tensor) -> Tensor:
     """exp(-j * phi) elementwise (phases real)."""
     return T.exp(T.mul(Tensor(np.array(-1j)), phases))
@@ -145,8 +111,6 @@ class UnitaryFactory(Module):
         weight block of the owning ONN layer).
     noise_std: std-dev of Gaussian phase noise added at build time
         (0 disables).  Used by variation-aware training / Fig. 4.
-    backend: ``"fast"`` (fused cascade, default) or ``"reference"``
-        (per-column loop); see the module docstring.
     exec_backend: execution backend (name or
         :class:`~repro.autograd.backend.ExecutionBackend`) used for the
         array arithmetic, or None to follow the process-wide default.
@@ -159,7 +123,6 @@ class UnitaryFactory(Module):
         k: int,
         n_units: int,
         rng=None,
-        backend: Optional[str] = None,
         exec_backend: Optional[BackendLike] = None,
     ):
         super().__init__()
@@ -170,10 +133,6 @@ class UnitaryFactory(Module):
         #: noise injection — e.g. an STE quantizer modelling a low-bit
         #: phase-control DAC (:mod:`repro.core.quantization`).
         self.phase_transform = None
-        backend = DEFAULT_BACKEND if backend is None else backend
-        if backend not in _BACKENDS:
-            raise ValueError(f"backend must be one of {_BACKENDS}, got {backend!r}")
-        self.backend = backend
         self.exec_backend = exec_backend
         self.build_cache = UnitaryBuildCache()
         self._topology_digest = b""
@@ -214,19 +173,16 @@ class UnitaryFactory(Module):
     def build(self, exec_backend: Optional[BackendLike] = None) -> Tensor:
         """Return transfer matrices of shape (n_units, K, K), complex.
 
-        Dispatches to the configured backend; on the eval path (grad
-        mode off, no noise, no phase transform) fast builds are served
-        from / recorded into :attr:`build_cache`.  With a forward-only
-        execution backend (e.g. ``"numpy-c64"``) and grad mode off, the
-        build routes through the trial-batched kernels instead of the
-        autograd graph; under grad mode forward-only backends demote to
-        their full-precision fallback.
+        On the eval path (grad mode off, no noise, no phase transform)
+        builds are served from / recorded into :attr:`build_cache`.
+        With a forward-only execution backend (e.g. ``"numpy-c64"``)
+        and grad mode off, the build routes through the trial-batched
+        kernels instead of the autograd graph; under grad mode
+        forward-only backends demote to their full-precision fallback.
         """
         eb = self._resolve_exec(exec_backend)
         if eb.forward_only and not is_grad_enabled():
             return self._build_forward_only(eb)
-        if self.backend == "reference":
-            return self._build_reference()
         if self._cacheable():
             key = self._cache_key(eb)
             hit = self.build_cache.get(key)
@@ -251,7 +207,7 @@ class UnitaryFactory(Module):
 
     def _forward_only_data(self, eb: ExecutionBackend) -> np.ndarray:
         return self.build_trials(
-            self._single_trial_offsets(), backend="fast", exec_backend=eb
+            self._single_trial_offsets(), exec_backend=eb
         )[0]
 
     def _single_trial_offsets(self) -> Tuple[np.ndarray, ...]:
@@ -289,9 +245,6 @@ class UnitaryFactory(Module):
         )
 
     def _build_fast(self, eb: Optional[ExecutionBackend] = None) -> Tensor:
-        raise NotImplementedError
-
-    def _build_reference(self) -> Tensor:
         raise NotImplementedError
 
     # -- trial-batched Monte-Carlo builds -------------------------------
@@ -333,7 +286,6 @@ class UnitaryFactory(Module):
     def build_trials(
         self,
         offsets: Sequence[np.ndarray],
-        backend: Optional[str] = None,
         const_stacks: Optional[np.ndarray] = None,
         exec_backend: Optional[BackendLike] = None,
     ) -> np.ndarray:
@@ -343,27 +295,18 @@ class UnitaryFactory(Module):
         (additive, per-trial phase offsets).  Returns a plain numpy
         array of shape ``(T, n_units, K, K)``.
 
-        ``backend`` overrides the factory's configured backend:
-        ``"fast"`` runs every trial through one fused cascade,
-        ``"reference"`` loops trials through the per-column math —
-        kept as the parity/benchmark baseline of the Monte-Carlo
-        engine.  ``const_stacks`` (searched topologies only) supplies
-        per-trial constant block matrices of shape ``(T, B, K, K)``,
-        which is how fabrication-sample scenario grids ride through
-        the same kernel.  ``exec_backend`` selects the array engine /
+        Every trial runs through one fused cascade.  ``const_stacks``
+        (searched topologies only) supplies per-trial constant block
+        matrices of shape ``(T, B, K, K)``, which is how
+        fabrication-sample scenario grids ride through the same kernel.  ``exec_backend`` selects the array engine /
         dtype (trial builds are forward-only by construction, so
         forward-only lanes such as ``"numpy-c64"`` apply directly).
         """
-        backend = self.backend if backend is None else backend
-        if backend not in _BACKENDS:
-            raise ValueError(f"backend must be one of {_BACKENDS}, got {backend!r}")
         eb = self._resolve_exec(exec_backend)
         if const_stacks is not None:
             raise ValueError(
                 f"{type(self).__name__} does not support per-trial const_stacks"
             )
-        if backend == "reference":
-            return self._build_trials_reference(offsets, eb)
         return self._build_trials_fast(offsets, eb)
 
     def _transformed_phase_data(self, param: Parameter) -> np.ndarray:
@@ -391,11 +334,6 @@ class UnitaryFactory(Module):
     ) -> np.ndarray:
         raise NotImplementedError
 
-    def _build_trials_reference(
-        self, offsets: Sequence[np.ndarray], eb: ExecutionBackend
-    ) -> np.ndarray:
-        raise NotImplementedError
-
     def forward(self) -> Tensor:
         return self.build()
 
@@ -419,7 +357,7 @@ class MZIMeshFactory(UnitaryFactory):
 
     which is the closed form of DC @ PS(theta) @ DC @ PS(phi).
 
-    The fast backend computes the four 2x2 entries of *every* MZI in
+    The build computes the four 2x2 entries of *every* MZI in
     the mesh with whole-array ops, scatters them into a stack of
     column matrices in one custom op, and folds the stack with
     :func:`repro.autograd.matmul_chain`.
@@ -430,10 +368,9 @@ class MZIMeshFactory(UnitaryFactory):
         k: int,
         n_units: int,
         rng=None,
-        backend: Optional[str] = None,
         exec_backend: Optional[BackendLike] = None,
     ):
-        super().__init__(k, n_units, rng=rng, backend=backend, exec_backend=exec_backend)
+        super().__init__(k, n_units, rng=rng, exec_backend=exec_backend)
         self.n_layers = k
         layout = []
         for layer in range(self.n_layers):
@@ -447,7 +384,7 @@ class MZIMeshFactory(UnitaryFactory):
         self.phi = Parameter(rng_.uniform(0, 2 * math.pi, size=(n_units, self.n_layers, max_m)))
         # Flattened (layer, slot, waveguide) indices of every MZI in the
         # mesh plus the pass-through diagonal of each column — the
-        # scatter pattern of the fast backend.
+        # scatter pattern of the column assembly.
         lay, slot, pos = [], [], []
         diag = np.zeros((self.n_layers, k, k), dtype=complex)
         for layer, (offset, m) in enumerate(layout):
@@ -503,37 +440,6 @@ class MZIMeshFactory(UnitaryFactory):
         columns = self._assemble_columns(m00, m01, m10, m11)
         return matmul_chain(columns, backend=self._resolve_exec(eb))
 
-    def _build_reference(self) -> Tensor:
-        theta = self._noisy(self.theta)
-        phi = self._noisy(self.phi)
-        u: Optional[Tensor] = None
-        for layer, (offset, m) in enumerate(self._layout):
-            if m == 0:
-                continue
-            th = theta[:, layer, :m]
-            ph = phi[:, layer, :m]
-            a = _phase_factor(th)
-            e = _phase_factor(ph)
-            half = Tensor(np.array(0.5))
-            jj = Tensor(np.array(1j))
-            m00 = (a - 1.0) * e * half
-            m01 = jj * (a + 1.0) * half
-            m10 = jj * (a + 1.0) * e * half
-            m11 = (1.0 - a) * half
-            pos = offset + 2 * np.arange(m)
-            rows = np.concatenate([pos, pos, pos + 1, pos + 1])
-            cols = np.concatenate([pos, pos + 1, pos, pos + 1])
-            vals = T.concat([m00, m01, m10, m11], axis=-1)
-            mat = batched_scatter(vals, rows, cols, self.k)
-            covered = np.zeros(self.k, dtype=bool)
-            covered[pos] = True
-            covered[pos + 1] = True
-            mat = mat + Tensor(np.diag((~covered).astype(complex)))
-            u = mat if u is None else mat @ u
-        assert u is not None
-        return u
-
-    # -- trial-batched builds ------------------------------------------
     def phase_parameters(self) -> List[Parameter]:
         return [self.theta, self.phi]
 
@@ -582,40 +488,6 @@ class MZIMeshFactory(UnitaryFactory):
             u[:, pos + 1, :] = c10 * top + c11 * bot
         return u.reshape(t, self.n_units, self.k, self.k)
 
-    def _build_trials_reference(
-        self, offsets: Sequence[np.ndarray], eb: ExecutionBackend
-    ) -> np.ndarray:
-        cdt = eb.complex_dtype
-        off_theta, off_phi = offsets
-        theta = self._trial_phases(self.theta, off_theta)
-        phi = self._trial_phases(self.phi, off_phi)
-        t = theta.shape[0]
-        out = np.empty((t, self.n_units, self.k, self.k), dtype=cdt)
-        for trial in range(t):
-            u: Optional[np.ndarray] = None
-            for layer, (offset, m) in enumerate(self._layout):
-                if m == 0:
-                    continue
-                a = np.exp(-1j * theta[trial, :, layer, :m]).astype(cdt, copy=False)
-                e = np.exp(-1j * phi[trial, :, layer, :m]).astype(cdt, copy=False)
-                m00, m01, m10, m11 = self._mzi_entries(a, e)
-                pos = offset + 2 * np.arange(m)
-                covered = np.zeros(self.k, dtype=bool)
-                covered[pos] = True
-                covered[pos + 1] = True
-                mat = np.broadcast_to(
-                    np.diag((~covered).astype(cdt)),
-                    (self.n_units, self.k, self.k),
-                ).copy()
-                mat[:, pos, pos] = m00
-                mat[:, pos, pos + 1] = m01
-                mat[:, pos + 1, pos] = m10
-                mat[:, pos + 1, pos + 1] = m11
-                u = mat if u is None else mat @ u
-            assert u is not None
-            out[trial] = u
-        return out
-
     def device_counts(self) -> Tuple[int, int, int]:
         # Paper accounting (Table 1): each MZI column is two blocks, and
         # every block is billed a full K-wide PS column, so one mesh has
@@ -633,8 +505,8 @@ class ButterflyFactory(UnitaryFactory):
     is accounted analytically in
     :func:`repro.photonics.footprint.butterfly_footprint`.
 
-    The stage coupling matrices are constant, so the fast backend is a
-    single :func:`repro.autograd.phase_column_cascade` over the stacked
+    The stage coupling matrices are constant, so the build is a single
+    :func:`repro.autograd.phase_column_cascade` over the stacked
     stages.
     """
 
@@ -643,10 +515,9 @@ class ButterflyFactory(UnitaryFactory):
         k: int,
         n_units: int,
         rng=None,
-        backend: Optional[str] = None,
         exec_backend: Optional[BackendLike] = None,
     ):
-        super().__init__(k, n_units, rng=rng, backend=backend, exec_backend=exec_backend)
+        super().__init__(k, n_units, rng=rng, exec_backend=exec_backend)
         stages = int(math.log2(k))
         if 2 ** stages != k:
             raise ValueError(f"butterfly mesh requires power-of-two K, got {k}")
@@ -668,21 +539,6 @@ class ButterflyFactory(UnitaryFactory):
             Tensor(self._stage_stack), ps, backend=self._resolve_exec(eb)
         )
 
-    def _build_reference(self) -> Tensor:
-        phases = self._noisy(self.phases)
-        u: Optional[Tensor] = None
-        for s in range(self.stages):
-            ps = _phase_factor(phases[:, s, :])  # (n_units, K)
-            dc = Tensor(self._stage_dc[s])
-            if u is None:
-                # dc @ diag(ps): scale columns of dc per unit.
-                u = dc * ps.reshape((self.n_units, 1, self.k))
-            else:
-                u = dc @ (ps.reshape((self.n_units, self.k, 1)) * u)
-        assert u is not None
-        return u
-
-    # -- trial-batched builds ------------------------------------------
     def phase_parameters(self) -> List[Parameter]:
         return [self.phases]
 
@@ -695,27 +551,6 @@ class ButterflyFactory(UnitaryFactory):
         ps = np.exp(-1j * phases).reshape(t * self.n_units, self.stages, self.k)
         u = eb.phase_column_cascade_forward(self._stage_stack, ps)
         return u.reshape(t, self.n_units, self.k, self.k)
-
-    def _build_trials_reference(
-        self, offsets: Sequence[np.ndarray], eb: ExecutionBackend
-    ) -> np.ndarray:
-        cdt = eb.complex_dtype
-        (off,) = offsets
-        phases = self._trial_phases(self.phases, off)
-        t = phases.shape[0]
-        out = np.empty((t, self.n_units, self.k, self.k), dtype=cdt)
-        for trial in range(t):
-            u: Optional[np.ndarray] = None
-            for s in range(self.stages):
-                ps = np.exp(-1j * phases[trial, :, s, :]).astype(cdt, copy=False)
-                dc = self._stage_dc[s].astype(cdt, copy=False)
-                if u is None:
-                    u = dc * ps[:, None, :]
-                else:
-                    u = dc @ (ps[:, :, None] * u)
-            assert u is not None
-            out[trial] = u
-        return out
 
     def device_counts(self) -> Tuple[int, int, int]:
         from ..photonics.footprint import _butterfly_crossings
@@ -755,10 +590,9 @@ class FixedTopologyFactory(UnitaryFactory):
         n_units: int,
         blocks: Sequence[Tuple[Optional[Sequence[int]], np.ndarray, int]],
         rng=None,
-        backend: Optional[str] = None,
         exec_backend: Optional[BackendLike] = None,
     ):
-        super().__init__(k, n_units, rng=rng, backend=backend, exec_backend=exec_backend)
+        super().__init__(k, n_units, rng=rng, exec_backend=exec_backend)
         self.blocks_spec = [
             (None if perm is None else np.asarray(perm, dtype=int),
              np.asarray(mask, dtype=bool),
@@ -801,35 +635,15 @@ class FixedTopologyFactory(UnitaryFactory):
             Tensor(self._const_stack), ps, backend=self._resolve_exec(eb)
         )
 
-    def _build_reference(self) -> Tensor:
-        phases = self._noisy(self.phases)
-        u: Optional[Tensor] = None
-        for b in range(self.n_blocks):
-            ps = _phase_factor(phases[:, b, :])  # (n_units, K)
-            cb = Tensor(self._const[b])
-            if u is None:
-                u = cb * ps.reshape((self.n_units, 1, self.k))
-            else:
-                u = cb @ (ps.reshape((self.n_units, self.k, 1)) * u)
-        if u is None:
-            eye = np.broadcast_to(np.eye(self.k, dtype=complex), (self.n_units, self.k, self.k))
-            return Tensor(eye.copy())
-        return u
-
-    # -- trial-batched builds ------------------------------------------
     def phase_parameters(self) -> List[Parameter]:
         return [self.phases]
 
     def build_trials(
         self,
         offsets: Sequence[np.ndarray],
-        backend: Optional[str] = None,
         const_stacks: Optional[np.ndarray] = None,
         exec_backend: Optional[BackendLike] = None,
     ) -> np.ndarray:
-        backend = self.backend if backend is None else backend
-        if backend not in _BACKENDS:
-            raise ValueError(f"backend must be one of {_BACKENDS}, got {backend!r}")
         eb = self._resolve_exec(exec_backend)
         if const_stacks is not None:
             const_stacks = np.asarray(const_stacks, dtype=complex)
@@ -838,8 +652,6 @@ class FixedTopologyFactory(UnitaryFactory):
                     f"const_stacks shape {const_stacks.shape} != "
                     f"(T, {self.n_blocks}, {self.k}, {self.k})"
                 )
-        if backend == "reference":
-            return self._build_trials_reference(offsets, eb, const_stacks)
         return self._build_trials_fast(offsets, eb, const_stacks)
 
     def _build_trials_fast(
@@ -863,36 +675,6 @@ class FixedTopologyFactory(UnitaryFactory):
             consts = np.repeat(const_stacks, self.n_units, axis=0)
         u = eb.phase_column_cascade_forward(consts, ps)
         return u.reshape(t, self.n_units, self.k, self.k)
-
-    def _build_trials_reference(
-        self,
-        offsets: Sequence[np.ndarray],
-        eb: ExecutionBackend,
-        const_stacks: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        cdt = eb.complex_dtype
-        (off,) = offsets
-        phases = self._trial_phases(self.phases, off)
-        t = phases.shape[0]
-        out = np.empty((t, self.n_units, self.k, self.k), dtype=cdt)
-        for trial in range(t):
-            consts = (
-                self._const_list if const_stacks is None else const_stacks[trial]
-            )
-            u: Optional[np.ndarray] = None
-            for b in range(self.n_blocks):
-                ps = np.exp(-1j * phases[trial, :, b, :]).astype(cdt, copy=False)
-                cb = np.asarray(consts[b]).astype(cdt, copy=False)
-                if u is None:
-                    u = cb * ps[:, None, :]
-                else:
-                    u = cb @ (ps[:, :, None] * u)
-            if u is None:
-                u = np.broadcast_to(
-                    np.eye(self.k, dtype=cdt), (self.n_units, self.k, self.k)
-                ).copy()
-            out[trial] = u
-        return out
 
     def device_counts(self) -> Tuple[int, int, int]:
         from ..photonics.crossings import count_inversions

@@ -27,6 +27,8 @@ from repro.core.topology import random_topology
 from repro.ptc import FixedTopologyFactory
 from repro.utils.rng import set_seed
 
+from oracles import build_reference
+
 REF_TOL = 1e-9  # reference vs fused, both complex128
 C64_TOL = 1e-4  # complex64 lane vs complex128, relative
 
@@ -58,12 +60,10 @@ class TestReferenceVsFused:
         f = make_factory(k, n_blocks, seed, exec_backend="numpy")
 
         def fused(_):
-            f.backend = "fast"
             return f.build()
 
         def reference(_):
-            f.backend = "reference"
-            return f.build()
+            return build_reference(f)
 
         assert forward_backward_parity(
             fused, reference, [f.phases], ftol=REF_TOL, gtol=REF_TOL
@@ -74,10 +74,8 @@ class TestReferenceVsFused:
     def test_eval_mode_forward(self, k, n_blocks, seed):
         f = make_factory(k, n_blocks, seed, exec_backend="numpy")
         with no_grad():
-            f.backend = "fast"
             fused = f.build().data
-            f.backend = "reference"
-            ref = f.build().data
+            ref = build_reference(f).data
         assert np.abs(fused - ref).max() <= REF_TOL
 
 

@@ -2,10 +2,10 @@
 pre-redesign loops exactly, and the checked-in example configs must be
 the specs the builders produce.
 
-The ``engine="reference"`` paths in ``experiments/extensions.py`` are
-the frozen legacy bodies (parity oracles); every study here runs both
-engines at a fixed seed and compares the full result payload — floats
-by equality, not tolerance.
+The frozen legacy bodies of the extension studies live in
+``tests/oracles/studies.py`` (parity oracles); every study here runs
+the shim and its oracle at a fixed seed and compares the full result
+payload — floats by equality, not tolerance.
 """
 
 import dataclasses
@@ -22,11 +22,21 @@ from repro.campaign.studies import (
 )
 from repro.experiments.common import ExperimentScale
 from repro.experiments.extensions import (
+    run_expressivity_comparison,
     run_nonideality_study,
     run_power_comparison,
     run_quantization_study,
+    run_search_method_ablation,
 )
 from repro.experiments.fig5 import alm_scan_point, run_fig5a
+
+from oracles import (
+    run_expressivity_comparison_reference,
+    run_nonideality_study_reference,
+    run_power_comparison_reference,
+    run_quantization_study_reference,
+    run_search_method_ablation_reference,
+)
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 CAMPAIGNS = REPO_ROOT / "examples" / "campaigns"
@@ -40,7 +50,7 @@ FIG4_SCALE = ExperimentScale(
 class TestStudyParity:
     def test_quantization_parity(self):
         kwargs = dict(k=4, bit_widths=(6, 3), steps=60, seed=0)
-        ref = run_quantization_study(engine="reference", **kwargs)
+        ref = run_quantization_study_reference(**kwargs)
         with pytest.warns(DeprecationWarning, match="quantization_spec"):
             new = run_quantization_study(**kwargs)
         assert dataclasses.asdict(new) == dataclasses.asdict(ref)
@@ -48,17 +58,41 @@ class TestStudyParity:
     def test_nonideality_parity(self):
         kwargs = dict(k=6, shallow_blocks=2, deep_blocks=5, n_trials=2,
                       seed=0)
-        ref = run_nonideality_study(engine="reference", **kwargs)
+        ref = run_nonideality_study_reference(**kwargs)
         with pytest.warns(DeprecationWarning, match="nonideality_spec"):
             new = run_nonideality_study(**kwargs)
         assert dataclasses.asdict(new) == dataclasses.asdict(ref)
 
     def test_power_parity(self):
         kwargs = dict(k=8, seed=0)
-        ref = run_power_comparison(engine="reference", **kwargs)
+        ref = run_power_comparison_reference(**kwargs)
         with pytest.warns(DeprecationWarning, match="power_spec"):
             new = run_power_comparison(**kwargs)
         assert dataclasses.asdict(new) == dataclasses.asdict(ref)
+
+    def test_expressivity_parity(self):
+        kwargs = dict(k=8, steps=20, n_targets=1, seed=0)
+        ref = run_expressivity_comparison_reference(**kwargs)
+        with pytest.warns(DeprecationWarning, match="expressivity_spec"):
+            new = run_expressivity_comparison(**kwargs)
+        assert dataclasses.asdict(new) == dataclasses.asdict(ref)
+
+    def test_search_method_ablation_parity(self):
+        scale = ExperimentScale(
+            n_train=32, n_test=16, search_epochs=2, search_warmup=1,
+            search_spl_epoch=1, batch_size=16, proxy_channels=2,
+        )
+        kwargs = dict(k=8, budget=4, scale=scale, seed=0)
+        ref = run_search_method_ablation_reference(**kwargs)
+        with pytest.warns(DeprecationWarning, match="search_ablation_spec"):
+            new = run_search_method_ablation(**kwargs)
+        # Topologies compare by their canonical JSON; every other field
+        # by exact equality.
+        assert [t.to_json() for t in new.topologies] == [
+            t.to_json() for t in ref.topologies
+        ]
+        for field in ("window", "methods", "scores", "footprints", "feasible"):
+            assert getattr(new, field) == getattr(ref, field), field
 
 
 class TestFig5Parity:

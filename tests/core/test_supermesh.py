@@ -44,7 +44,7 @@ class TestSampling:
     def test_sample_shapes(self):
         space = make_space(b_min=2, b_max=6)
         s = space.sample(tau=1.0)
-        assert len(s.block_transfer) == space.n_blocks
+        assert s.transfer.shape[0] == space.n_blocks
         assert s.exec_prob.shape == (space.n_blocks,)
         assert space.current is s
 

@@ -6,8 +6,8 @@ any regression of a bug class the project has already paid for
 (unstable seeds, torn writes, mode leaks, raw queue transitions ...)
 fails tier-1 here before it can corrupt a result.  The baseline
 itself is constrained: only RL009 (bespoke-sweep) entries may appear
-in it, grandfathering the frozen pre-campaign parity oracles — every
-other rule must hold with zero suppressions.
+in it, grandfathering the Table 1/2 window sweeps — every other rule
+must hold with zero suppressions.
 """
 
 from dataclasses import replace
@@ -36,10 +36,9 @@ class TestSelfHosted:
         assert fresh == [], "\n".join(f.render() for f in fresh)
 
     def test_baseline_only_grandfathers_sweep_oracles(self):
-        # The baseline exists solely for RL009's frozen pre-campaign
-        # loops (reference parity oracles, table sweeps).  Any other
-        # rule id in it means a true positive got suppressed instead
-        # of fixed.
+        # The baseline exists solely for RL009's pre-campaign Table 1/2
+        # window sweeps.  Any other rule id in it means a true positive
+        # got suppressed instead of fixed.
         baseline = load_baseline(BASELINE)
         assert sum(baseline.values()) > 0
         assert {rule for rule, _path, _text in baseline} == {"RL009"}

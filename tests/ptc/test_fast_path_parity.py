@@ -1,10 +1,10 @@
-"""Fast-backend parity against the reference per-column loops.
+"""Fused-build parity against the reference per-column loops.
 
 Every mesh factory must produce identical transfer matrices AND
-identical parameter gradients under ``backend="fast"`` and
-``backend="reference"`` (max abs diff <= 1e-9; in practice the fast
-path replays the exact same elementary operations fused into one
-node, so differences are at rounding level).
+identical parameter gradients through its fused build and through the
+per-column oracle in ``tests/oracles/factories.py`` (max abs diff <=
+1e-9; in practice the fused path replays the exact same elementary
+operations fused into one node, so differences are at rounding level).
 """
 
 import numpy as np
@@ -19,6 +19,8 @@ from repro.ptc import (
     fit_unitary_population,
 )
 from repro.ptc.reference_topologies import butterfly_topology, mzi_topology
+
+from oracles import build_reference
 
 TOL = 1e-9
 
@@ -47,30 +49,38 @@ def _mixed_blocks(k, n_blocks, rng):
 
 
 def _factories(kind, k=8, n_units=3, seed=11):
-    def make(backend):
+    """Two identically initialized factories: the first builds through
+    its fused path, the second through :func:`oracles.build_reference`
+    (call :func:`_build` to dispatch)."""
+
+    def make():
         rng = np.random.default_rng(seed)
         if kind == "mzi":
-            return MZIMeshFactory(k, n_units, rng=rng, backend=backend)
+            return MZIMeshFactory(k, n_units, rng=rng)
         if kind == "butterfly":
-            return ButterflyFactory(k, n_units, rng=rng, backend=backend)
+            return ButterflyFactory(k, n_units, rng=rng)
         blocks = _mixed_blocks(k, 6, np.random.default_rng(seed + 1))
-        return FixedTopologyFactory(k, n_units, blocks, rng=rng, backend=backend)
+        return FixedTopologyFactory(k, n_units, blocks, rng=rng)
 
-    return make("fast"), make("reference")
+    return make(), make()
+
+
+def _build(name, f):
+    return f.build() if name == "fast" else build_reference(f)
 
 
 @pytest.mark.parametrize("kind", ["mzi", "butterfly", "fixed"])
 class TestFactoryParity:
     def test_forward(self, kind):
         fast, ref = _factories(kind)
-        diff = np.abs(fast.build().data - ref.build().data).max()
+        diff = np.abs(fast.build().data - build_reference(ref).data).max()
         assert diff <= TOL
 
     def test_gradients(self, kind):
         fast, ref = _factories(kind)
         grads = {}
         for name, f in (("fast", fast), ("ref", ref)):
-            u = f.build()
+            u = _build(name, f)
             (u * u.conj()).real().sum().backward()
             grads[name] = [np.array(p.grad) for p in f.parameters()]
         for gf, gr in zip(grads["fast"], grads["ref"]):
@@ -82,7 +92,7 @@ class TestFactoryParity:
         x = rng.normal(size=(8, 8))
         out = {}
         for name, f in (("fast", fast), ("ref", ref)):
-            w = f.build().real()[0]
+            w = _build(name, f).real()[0]
             loss = ((Tensor(x) @ w) ** 2).sum()
             loss.backward()
             out[name] = (float(loss.item()), [np.array(p.grad) for p in f.parameters()])

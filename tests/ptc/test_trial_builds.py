@@ -1,11 +1,13 @@
-"""Trial-batched Monte-Carlo builds: parity across backends and with
-the normal (graph) build path."""
+"""Trial-batched Monte-Carlo builds: parity with the per-column oracle
+and with the normal (graph) build path."""
 
 import numpy as np
 import pytest
 
 from repro.autograd import no_grad
 from repro.ptc import ButterflyFactory, FixedTopologyFactory, MZIMeshFactory
+
+from oracles import build_reference, build_trials_reference
 
 K = 8
 N_UNITS = 5
@@ -35,8 +37,8 @@ class TestTrialBuilds:
         f = make_factory(kind)
         stds = np.array([0.0, 0.02, 0.05, 0.1])
         offsets = f.draw_trial_noise(stds, np.random.default_rng(9))
-        fast = f.build_trials(offsets, backend="fast")
-        ref = f.build_trials(offsets, backend="reference")
+        fast = f.build_trials(offsets)
+        ref = build_trials_reference(f, offsets)
         assert fast.shape == (4, N_UNITS, K, K)
         assert np.abs(fast - ref).max() <= TOL
 
@@ -52,7 +54,8 @@ class TestTrialBuilds:
     def test_installed_offsets_replay_through_graph_build(self, kind):
         """The reference engine installs per-trial offsets and rebuilds
         through the normal graph path — that must reproduce the
-        corresponding build_trials slice on both graph backends."""
+        corresponding build_trials slice through both the fused graph
+        build and the per-column oracle."""
         f = make_factory(kind)
         stds = np.array([0.04, 0.08])
         offsets = f.draw_trial_noise(stds, np.random.default_rng(5))
@@ -60,14 +63,12 @@ class TestTrialBuilds:
         for t in range(2):
             f.trial_phase_offsets = tuple(o[t] for o in offsets)
             try:
-                for backend in ("fast", "reference"):
-                    f.backend = backend
+                for build in (f.build, lambda: build_reference(f)):
                     with no_grad():
-                        built = f.build().data
+                        built = build().data
                     assert np.abs(built - stack[t]).max() <= 1e-9
             finally:
                 f.trial_phase_offsets = None
-                f.backend = "fast"
 
     def test_offsets_bypass_eval_cache(self, kind):
         f = make_factory(kind)
@@ -99,7 +100,7 @@ class TestTrialBuilds:
 
 def test_fixed_topology_per_trial_const_stacks():
     """Per-trial constant block stacks (fabrication samples) flow
-    through both backends identically."""
+    through the fused build and the oracle identically."""
     f = make_factory("fixed")
     rng = np.random.default_rng(8)
     stds = np.array([0.02, 0.02, 0.06])
@@ -107,8 +108,8 @@ def test_fixed_topology_per_trial_const_stacks():
     # Perturbed copies of the nominal consts, one stack per trial.
     base = np.stack(f._const)
     consts = np.stack([base * (1.0 - 0.01 * t) for t in range(3)])
-    fast = f.build_trials(offsets, backend="fast", const_stacks=consts)
-    ref = f.build_trials(offsets, backend="reference", const_stacks=consts)
+    fast = f.build_trials(offsets, const_stacks=consts)
+    ref = build_trials_reference(f, offsets, const_stacks=consts)
     assert np.abs(fast - ref).max() <= TOL
     # Trial 0 uses the unscaled consts: must match the plain trial build.
     plain = f.build_trials(tuple(o[:1] for o in offsets))

@@ -189,7 +189,12 @@ class TestExitCodes:
     def test_status_kinds_succeeds(self):
         proc = _run_cli("status", "--kinds")
         assert proc.returncode == 0
-        assert "robustness-grid" in proc.stdout
+        listed = {line.split()[0] for line in proc.stdout.splitlines()
+                  if line.strip()}
+        assert {"robustness-grid", "campaign", "recalibrate"} <= listed
+        # The Fig. 4/5 studies run as campaign cells; their per-study
+        # job kinds are gone.
+        assert not listed & {"fig4-part", "fig5a", "fig5b"}
 
     def test_info_succeeds(self):
         proc = _run_cli("info")
